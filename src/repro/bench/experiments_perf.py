@@ -37,7 +37,6 @@ __all__ = [
     "timeout_churn",
     "interrupt_storm",
     "kernel_counters",
-    "scheduler_identity",
     "batch_identity",
     "perf_parts",
 ]
@@ -140,7 +139,7 @@ def _spin_env(n_events: int, **env_kwargs) -> Environment:
 
 
 def kernel_counters(n_events: int = 50_000) -> Dict[str, float]:
-    """Kernel freelist/scheduler telemetry through the metrics registry.
+    """Kernel freelist telemetry through the metrics registry.
 
     Runs the timeout-drain workload twice — once with the default
     ``timeout_pool_cap`` and once with pooling disabled (cap 0) — and
@@ -153,12 +152,10 @@ def kernel_counters(n_events: int = 50_000) -> Dict[str, float]:
     registry = MetricsRegistry("kernel")
     hits = registry.counter("sim.timeout_pool.hits")
     misses = registry.counter("sim.timeout_pool.misses")
-    promotions = registry.counter("sim.scheduler.calendar_promotions")
 
     pooled = _spin_env(n_events)
     hits.add(pooled.pool_hits)
     misses.add(pooled.pool_misses)
-    promotions.add(pooled.calendar_promotions)
 
     unpooled = _spin_env(n_events, timeout_pool_cap=0)
 
@@ -171,51 +168,6 @@ def kernel_counters(n_events: int = 50_000) -> Dict[str, float]:
         "pool_cap0_misses": float(unpooled.pool_misses),
     })
     return snapshot
-
-
-def scheduler_identity(n_events: int = 40_000) -> Dict[str, float]:
-    """Heap vs calendar tier: identical fire order on a mixed workload.
-
-    Four periodic processes with co-prime periods (plus an
-    arm-and-cancel churner leaving tombstones) run once with the
-    scheduler pinned to the heap tier and once pinned to the calendar
-    tier.  The complete ``(time, process, step)`` fire log must match
-    entry for entry — the calendar is a throughput optimization, never
-    a behavioural change.
-    """
-    bursts = ((0.0, 1.0e-6), (5.0e-4, 3.1e-6),
-              (1.0e-3, 7.0e-7), (2.0e-3, 1.3e-5))
-    per_proc = n_events // (len(bursts) + 1)
-
-    def run(scheduler: str) -> Tuple[List, Environment]:
-        env = Environment(scheduler=scheduler)
-        log: List = []
-
-        def burst(k, delay, period):
-            yield env.timeout(delay)
-            for i in range(per_proc):
-                log.append((env.now, k, i))
-                yield env.timeout(period)
-
-        def churn():
-            for _ in range(per_proc):
-                env.timeout(5.0).cancel()
-                yield env.timeout(2.0e-6)
-
-        for k, (delay, period) in enumerate(bursts):
-            env.process(burst(k, delay, period))
-        env.process(churn())
-        env.run()
-        return log, env
-
-    heap_log, heap_env = run("heap")
-    cal_log, cal_env = run("calendar")
-    return {
-        "events": float(len(heap_log)),
-        "order_identical": 1.0 if heap_log == cal_log else 0.0,
-        "calendar_promotions": float(cal_env.calendar_promotions),
-        "heap_promotions": float(heap_env.calendar_promotions),
-    }
 
 
 def batch_identity(n_arrivals: int = 30_000) -> Dict[str, float]:
@@ -276,6 +228,5 @@ def perf_parts() -> Dict[str, Dict[str, float]]:
         "timeout_churn": timeout_churn(),
         "interrupt_storm": interrupt_storm(),
         "kernel_counters": kernel_counters(),
-        "scheduler_identity": scheduler_identity(),
         "batch_identity": batch_identity(),
     }

@@ -4,9 +4,9 @@ One ``python -m repro.bench --json-out BENCH_<runid>.json`` run
 serializes every experiment's structured result — the same
 :class:`~repro.bench.harness.Sweep` / dict objects the experiment
 functions return — into a single auditable document with provenance
-(git sha, python version, per-experiment wall clock, hardware
-profiles, workload seed).  The claims registry
-(:mod:`repro.obs.claims`) and the regression comparator
+(git sha, a SHA-256 of the ``src/`` tree, python version,
+per-experiment wall clock, hardware profiles, workload seed).  The
+claims registry (:mod:`repro.obs.claims`) and the regression comparator
 (:mod:`repro.obs.regress`) both consume this format, so a committed
 baseline artifact gives the reproduction a perf trajectory.
 
@@ -36,10 +36,12 @@ A1/A2/F6 shape).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 __all__ = [
@@ -127,6 +129,27 @@ def _git(*args: str) -> Optional[str]:
     return out.stdout.strip()
 
 
+#: the ``src/`` tree this package was imported from
+_SRC_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _src_sha256(root: Path = _SRC_ROOT) -> str:
+    """SHA-256 over every file under ``root`` except bytecode.
+
+    Each file contributes its relative path, a NUL byte, then its
+    contents, in sorted path order; ``__pycache__`` directories and
+    ``.pyc`` files are skipped.  ``perfbench/run.py`` hashes ``src/``
+    the same way, so the two provenance records agree.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if (path.is_file() and "__pycache__" not in path.parts
+                and path.suffix != ".pyc"):
+            digest.update(str(path.relative_to(root)).encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def collect_provenance(argv: Optional[List[str]] = None) -> Dict[str, Any]:
     """Everything needed to interpret (and trust) an artifact later."""
     from ..hardware import DPU_PROFILES
@@ -146,6 +169,7 @@ def collect_provenance(argv: Optional[List[str]] = None) -> Dict[str, Any]:
     return {
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": bool(status) if status is not None else None,
+        "src_sha256": _src_sha256(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),

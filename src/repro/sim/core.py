@@ -6,12 +6,14 @@ an :class:`Environment` drives a time-ordered event queue, and
 (timeouts, resource requests, other processes) to suspend until those
 events fire.
 
-The engine is deliberately deterministic: events scheduled for the same
-simulated time are processed in schedule order (FIFO within a priority
-band), so every simulation in this repository is exactly reproducible.
+The engine is deliberately deterministic: pending events sit on one
+binary heap keyed by ``(time, priority, schedule order)``, so events
+scheduled for the same simulated time are processed in schedule order
+(FIFO within a priority band) and every simulation in this repository
+is exactly reproducible.
 
 Fast paths (see ``docs/PERFORMANCE.md``): every event class uses
-``__slots__``; :meth:`Environment.run` inlines the step loop;
+``__slots__``; :meth:`Environment.run` is the single hot loop;
 :meth:`Process.interrupt` lazily abandons the interrupted wait instead
 of an O(n) callback removal; timeouts are recycled through a freelist
 when provably unreferenced; and :meth:`Timeout.cancel` marks dead
@@ -23,7 +25,7 @@ per simulated event.
 from __future__ import annotations
 
 import sys
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
 __all__ = [
@@ -48,13 +50,6 @@ NORMAL = 1
 #: Default upper bound on recycled Timeout objects kept per environment
 #: (override per environment with ``Environment(timeout_pool_cap=...)``).
 _TIMEOUT_POOL_CAP = 1024
-
-#: Queue length at which an ``auto`` environment promotes its heap into
-#: the bucketed calendar tier; it demotes again below half of this.
-_CALENDARIZE_AT = 2048
-
-#: Hard cap on the number of calendar buckets per window.
-_MAX_BUCKETS = 1 << 14
 
 
 class SimulationError(Exception):
@@ -406,33 +401,19 @@ class AnyOf(ConditionEvent):
 class Environment:
     """The simulation clock plus the pending-event queue.
 
-    Scheduling uses a two-tier structure (see ``docs/PERFORMANCE.md``):
-
-    * a binary **heap tier** (``heapq``) that holds every entry while
-      the queue is small, and serves as the far-future overflow tier
-      once the calendar engages;
-    * a bucketed **calendar tier** covering a rolling near-future
-      window, engaged when the queue outgrows ``_CALENDARIZE_AT``
-      entries.  Each bucket spans a fixed slice of simulated time; the
-      cursor bucket is heapified on first pop so entries leave in exact
-      ``(time, priority, eid)`` order.
-
-    Both tiers pop entries in the identical total order — the calendar
-    is a throughput optimization, never a behavioural change — so
-    pure-DES runs are byte-identical whichever tier serves them.
-    ``scheduler`` pins the tier: ``"heap"`` never promotes,
-    ``"calendar"`` promotes almost immediately, ``"auto"`` (default)
-    promotes at the threshold and demotes when the queue drains.
+    Pending entries are ``(time, priority, eid, event)`` tuples on one
+    binary heap (``heapq``), so they pop in exact ``(time, priority,
+    schedule order)`` order; ``eid`` counts every entry ever scheduled.
+    ``timeout_pool_cap`` bounds the :class:`Timeout` freelist (0
+    disables recycling).
     """
 
+    #: Always 0 (the calendar tier is gone); ``perfbench/`` still reads it.
+    calendar_promotions = 0
+
     def __init__(self, initial_time: float = 0.0, *,
-                 timeout_pool_cap: Optional[int] = None,
-                 scheduler: str = "auto"):
-        if scheduler not in ("auto", "heap", "calendar"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+                 timeout_pool_cap: Optional[int] = None):
         self._now = float(initial_time)
-        #: heap tier: every entry while small; far-future overflow once
-        #: the calendar tier engages.
         self._queue: list = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -446,25 +427,6 @@ class Environment:
         #: freelist telemetry, surfaced by the ``perf`` experiment
         self.pool_hits = 0
         self.pool_misses = 0
-        #: number of heap → calendar promotions so far
-        self.calendar_promotions = 0
-        self.scheduler = scheduler
-        # Calendar-tier state (engaged lazily by _calendarize).
-        self._count = 0
-        self._buckets: Optional[list] = None
-        self._nb = 0
-        self._width = 0.0
-        self._inv_width = 0.0
-        self._base = 0.0
-        self._horizon = 0.0
-        self._cursor = 0
-        self._cur_heaped = False
-        if scheduler == "heap":
-            self._cal_at: float = float("inf")
-        elif scheduler == "calendar":
-            self._cal_at = 2
-        else:
-            self._cal_at = _CALENDARIZE_AT
 
     @property
     def now(self) -> float:
@@ -503,14 +465,8 @@ class Environment:
             timeout._cancelled = False
             self.pool_hits += 1
             self._eid += 1
-            entry = (self._now + delay, NORMAL, self._eid, timeout)
-            self._count += 1
-            if self._buckets is None:
-                heappush(self._queue, entry)
-                if self._count >= self._cal_at:
-                    self._calendarize()
-            else:
-                self._push_cal(entry)
+            heappush(self._queue,
+                     (self._now + delay, NORMAL, self._eid, timeout))
             return timeout
         self.pool_misses += 1
         return Timeout(self, delay, value)
@@ -533,157 +489,7 @@ class Environment:
     def _enqueue(self, event: Event, priority: int,
                  delay: float = 0.0) -> None:
         self._eid += 1
-        entry = (self._now + delay, priority, self._eid, event)
-        self._count += 1
-        if self._buckets is None:
-            heappush(self._queue, entry)
-            if self._count >= self._cal_at:
-                self._calendarize()
-        else:
-            self._push_cal(entry)
-
-    # -- calendar tier -------------------------------------------------------
-
-    def _push_cal(self, entry) -> None:
-        """Insert ``entry`` into the engaged calendar (count already
-        bumped by the caller)."""
-        when = entry[0]
-        if when >= self._horizon:
-            heappush(self._queue, entry)
-            return
-        idx = int((when - self._base) * self._inv_width)
-        nb1 = self._nb - 1
-        if idx > nb1:
-            idx = nb1
-        cursor = self._cursor
-        buckets = self._buckets
-        if idx > cursor:
-            buckets[idx].append(entry)
-        elif self._cur_heaped:
-            # Entries at or behind the cursor (including float-rounding
-            # strays) join the cursor bucket; within-bucket ordering by
-            # the full (time, priority, eid) key keeps them exact.
-            heappush(buckets[cursor], entry)
-        else:
-            buckets[cursor].append(entry)
-
-    def _calendarize(self) -> None:
-        """Promote the heap tier into a bucketed calendar window.
-
-        Entries inside the next window move into per-time buckets;
-        far-future entries stay behind on the heap, which becomes the
-        overflow tier.  Pop order is unchanged.
-        """
-        queue = self._queue
-        n = len(queue)
-        times = sorted(entry[0] for entry in queue)
-        spread = times[-1] - times[0]
-        if spread <= 0.0:
-            # Every pending entry is a same-time tie: buckets cannot
-            # subdivide time, so stay on the heap and retry later.
-            self._cal_at = max(self._cal_at * 2, n * 2)
-            return
-        nb = min(_MAX_BUCKETS, 1 << (n - 1).bit_length())
-        # ~3 pending entries per bucket if spread evenly over a window.
-        width = max(spread * 3.0 / n, 1e-12)
-        inv_width = 1.0 / width
-        base = times[0]
-        horizon = base + nb * width
-        buckets: list = [[] for _ in range(nb)]
-        keep = []
-        nb1 = nb - 1
-        for entry in queue:
-            when = entry[0]
-            if when >= horizon:
-                keep.append(entry)
-                continue
-            idx = int((when - base) * inv_width)
-            buckets[idx if idx < nb else nb1].append(entry)
-        queue[:] = keep
-        heapify(queue)
-        self._buckets = buckets
-        self._nb = nb
-        self._width = width
-        self._inv_width = inv_width
-        self._base = base
-        self._horizon = horizon
-        self._cursor = 0
-        self._cur_heaped = False
-        self.calendar_promotions += 1
-
-    def _advance_window(self) -> bool:
-        """Refill the drained calendar window from the overflow heap.
-
-        Returns ``False`` after demoting back to the pure heap tier
-        (too few entries remain for bucket scans to pay off).
-        """
-        over = self._queue
-        n = len(over)
-        if n < self._cal_at // 2:
-            self._buckets = None
-            return False
-        first = over[0][0]
-        # Re-estimate bucket width from the overflow population so the
-        # window tracks the current event density.
-        step = n // 64 or 1
-        mx = max(over[i][0] for i in range(0, n, step))
-        spread = mx - first
-        nb = self._nb
-        if spread > 0.0:
-            width = max(spread * 3.0 / n, 1e-12)
-            self._width = width
-            self._inv_width = 1.0 / width
-        else:
-            width = self._width
-        inv_width = self._inv_width
-        base = first
-        horizon = base + nb * width
-        buckets = self._buckets
-        nb1 = nb - 1
-        while over and over[0][0] < horizon:
-            entry = heappop(over)
-            idx = int((entry[0] - base) * inv_width)
-            buckets[idx if idx < nb else nb1].append(entry)
-        self._base = base
-        self._horizon = horizon
-        self._cursor = 0
-        self._cur_heaped = False
-        return True
-
-    def _peek_head(self):
-        """The earliest entry across both tiers, or ``None`` (not
-        removed; may advance the calendar cursor/window)."""
-        buckets = self._buckets
-        if buckets is None:
-            queue = self._queue
-            return queue[0] if queue else None
-        nb = self._nb
-        cursor = self._cursor
-        while True:
-            bucket = buckets[cursor]
-            if bucket:
-                if not self._cur_heaped:
-                    heapify(bucket)
-                    self._cur_heaped = True
-                self._cursor = cursor
-                return bucket[0]
-            cursor += 1
-            self._cur_heaped = False
-            if cursor == nb:
-                if not self._advance_window():
-                    queue = self._queue
-                    return queue[0] if queue else None
-                cursor = 0
-
-    def _pop_entry(self):
-        """Remove and return the earliest entry, or ``None``."""
-        head = self._peek_head()
-        if head is None:
-            return None
-        self._count -= 1
-        if self._buckets is None:
-            return heappop(self._queue)
-        return heappop(self._buckets[self._cursor])
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next *live* event, or ``inf`` if none remain.
@@ -691,25 +497,22 @@ class Environment:
         Lazily-cancelled entries are purged here so a dead timer never
         masquerades as the next event.
         """
-        while True:
-            head = self._peek_head()
-            if head is None:
-                return float("inf")
-            if head[3]._cancelled:
-                self._pop_entry()
+        queue = self._queue
+        while queue:
+            if queue[0][3]._cancelled:
+                heappop(queue)
                 continue
-            return head[0]
+            return queue[0][0]
+        return float("inf")
 
     def step(self) -> None:
         """Process exactly one live event (skipping cancelled entries)."""
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                raise SimulationError("no scheduled events")
-            event = entry[3]
+        queue = self._queue
+        while queue:
+            when, _prio, _eid, event = heappop(queue)
             if event._cancelled:
                 continue
-            self._now = entry[0]
+            self._now = when
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
@@ -717,6 +520,7 @@ class Environment:
                 # A failure nobody waited on: surface it, don't lose it.
                 raise event._value
             return
+        raise SimulationError("no scheduled events")
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -728,9 +532,7 @@ class Environment:
         This is the engine's hot loop: it inlines :meth:`step`, skips
         lazily-cancelled entries without advancing the clock, and
         recycles :class:`Timeout` objects that end the iteration with
-        no outside references.  The loop dispatches to a per-tier inner
-        loop and re-dispatches whenever the scheduler promotes to (or
-        demotes from) the calendar tier.
+        no outside references.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -743,35 +545,6 @@ class Environment:
                     f"until={stop_time} is in the past (now={self._now})"
                 )
 
-        while self._count:
-            if self._buckets is None:
-                done = self._run_heap(stop_event, stop_time)
-            else:
-                done = self._run_calendar(stop_event, stop_time)
-            if done:
-                break
-        else:
-            if stop_time != float("inf"):
-                self._now = stop_time
-
-        if stop_event is not None:
-            if stop_event._value is _PENDING:
-                raise SimulationError(
-                    "run(until=event) exhausted the queue before the "
-                    "event triggered"
-                )
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        return None
-
-    def _run_heap(self, stop_event: Optional[Event],
-                  stop_time: float) -> bool:
-        """Hot loop while every entry lives on the heap tier.
-
-        Returns ``True`` when the run is finished, ``False`` when a
-        callback promoted the queue to the calendar tier.
-        """
         queue = self._queue
         pool = self._timeout_pool
         heappop_ = heappop
@@ -780,12 +553,11 @@ class Environment:
         pool_cap = self._pool_cap
         while queue:
             if stop_event is not None and stop_event.callbacks is None:
-                return True
+                break
             if queue[0][0] > stop_time:
                 self._now = stop_time
-                return True
+                break
             when, _prio, _eid, event = heappop_(queue)
-            self._count -= 1
             if event._cancelled:
                 # Dead entry: drop without touching the clock.
                 if (type(event) is timeout_type and len(pool) < pool_cap
@@ -807,70 +579,17 @@ class Environment:
             if (type(event) is timeout_type and len(pool) < pool_cap
                     and getrefcount(event) == 2):
                 pool.append(event)
-            if self._buckets is not None:
-                return False
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return True
-
-    def _run_calendar(self, stop_event: Optional[Event],
-                      stop_time: float) -> bool:
-        """Hot loop while the calendar tier is engaged.
-
-        Returns ``True`` when the run is finished, ``False`` after the
-        window drained far enough to demote back to the heap tier.
-        """
-        pool = self._timeout_pool
-        heappop_ = heappop
-        heapify_ = heapify
-        getrefcount = sys.getrefcount
-        timeout_type = Timeout
-        pool_cap = self._pool_cap
-        buckets = self._buckets
-        nb = self._nb
-        while self._count:
-            if stop_event is not None and stop_event.callbacks is None:
-                return True
-            cursor = self._cursor
-            bucket = buckets[cursor]
-            while not bucket:
-                cursor += 1
-                self._cur_heaped = False
-                if cursor == nb:
-                    if not self._advance_window():
-                        self._cursor = 0
-                        return False
-                    cursor = 0
-                bucket = buckets[cursor]
-            self._cursor = cursor
-            if not self._cur_heaped:
-                heapify_(bucket)
-                self._cur_heaped = True
-            if bucket[0][0] > stop_time:
+        else:
+            if stop_time != float("inf"):
                 self._now = stop_time
-                return True
-            when, _prio, _eid, event = heappop_(bucket)
-            self._count -= 1
-            if event._cancelled:
-                if (type(event) is timeout_type and len(pool) < pool_cap
-                        and getrefcount(event) == 2):
-                    pool.append(event)
-                continue
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                # A failure nobody waited on: surface it, don't lose it.
-                raise event._value
-            if (type(event) is timeout_type and len(pool) < pool_cap
-                    and getrefcount(event) == 2):
-                pool.append(event)
-            if self._buckets is not buckets:
-                # A callback (via peek/step) demoted or rebuilt the
-                # calendar: re-dispatch from run().
-                return False
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return True
+
+        if stop_event is not None:
+            if stop_event._value is _PENDING:
+                raise SimulationError(
+                    "run(until=event) exhausted the queue before the "
+                    "event triggered"
+                )
+            if not stop_event._ok:
+                raise stop_event._value
+            return stop_event._value
+        return None

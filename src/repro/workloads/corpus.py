@@ -62,12 +62,12 @@ class TextCorpus:
         return self._words[lo]
 
     def generate(self, nbytes: int, stream_seed: int = 0) -> bytes:
-        """Generate approximately ``nbytes`` of text (>= nbytes)."""
+        """Generate exactly ``nbytes`` of text."""
         if nbytes < 0:
             raise ValueError("negative size")
         rng = random.Random(self._seed * 1_000_003 + stream_seed)
         out: List[str] = []
-        produced = 0
+        produced = -1  # length of " ".join(out): no space before word 1
         sentence_len = 0
         while produced < nbytes:
             word = self._pick_word(rng)
@@ -79,7 +79,7 @@ class TextCorpus:
                 sentence_len = 0
             out.append(word)
             produced += len(word) + 1
-        return " ".join(out).encode()[:nbytes] if nbytes else b""
+        return " ".join(out).encode()[:nbytes]
 
 
 def make_text(nbytes: int, seed: int = 1234) -> bytes:

@@ -1,5 +1,6 @@
 """The schema-versioned run artifact: encode, validate, round-trip."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from repro.bench.harness import Sweep
 from repro.obs.artifact import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
+    _src_sha256,
     collect_provenance,
     decode_part,
     encode_part,
@@ -80,6 +82,26 @@ class TestProvenance:
         assert "bluefield2" in provenance["hardware_profiles"]
         bf2 = provenance["hardware_profiles"]["bluefield2"]
         assert "compression" in bf2["accelerators"]
+
+    def test_src_hash_names_the_code(self):
+        digest = collect_provenance()["src_sha256"]
+        assert len(digest) == 64
+        assert digest == _src_sha256()
+
+    def test_src_hash_scheme_skips_bytecode(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "a.py").write_bytes(b"x = 1\n")
+        (tmp_path / "b.txt").write_bytes(b"b")
+        expected = hashlib.sha256(
+            b"b.txt\0b" + b"pkg/a.py\0x = 1\n").hexdigest()
+        assert _src_sha256(tmp_path) == expected
+        (tmp_path / "pkg" / "__pycache__").mkdir()
+        (tmp_path / "pkg" / "__pycache__" / "a.cpython-312.pyc") \
+            .write_bytes(b"junk")
+        (tmp_path / "c.pyc").write_bytes(b"junk")
+        assert _src_sha256(tmp_path) == expected
+        (tmp_path / "pkg" / "a.py").write_bytes(b"x = 2\n")
+        assert _src_sha256(tmp_path) != expected
 
 
 class TestArtifactDocument:

@@ -45,6 +45,18 @@ class TestClock:
         env.run(until=7.0)
         assert env.now == 7.0
 
+    def test_run_until_time_then_run_fires_every_pending_entry(self, env):
+        log = []
+        for tag in range(3000):
+            timer = env.timeout(0.001 * tag)
+            timer.callbacks.append(lambda _ev, tag=tag: log.append(tag))
+        env.run(until=1.0)
+        assert env.now == 1.0
+        assert log == list(range(1001))
+        env.run()
+        assert log == list(range(3000))
+        assert env.now == pytest.approx(2.999)
+
 
 class TestProcesses:
     def test_return_value_via_run_until(self, env):
@@ -129,6 +141,19 @@ class TestProcesses:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
+    def test_run_until_event_leaves_later_entries_pending(self, env):
+        late = []
+        for tag in range(2500):
+            timer = env.timeout(5.0)
+            timer.callbacks.append(lambda _ev, tag=tag: late.append(tag))
+        proc = env.process(_sleep(env, 1.5, value="stopped"))
+        assert env.run(until=proc) == "stopped"
+        assert env.now == 1.5
+        assert late == []
+        env.run()
+        assert late == list(range(2500))
+        assert env.now == 5.0
+
 
 class TestInterrupts:
     def test_interrupt_carries_cause(self, env):
@@ -175,6 +200,44 @@ class TestInterrupts:
         env.process(attacker(env))
         with pytest.raises(SimulationError):
             env.run()
+
+    def test_interrupt_storm_reaches_every_target(self, env):
+        # Every 7th of 1200 sleepers is interrupted, 1 ms apart from
+        # t=1; the rest sleep undisturbed.  Each victim must see its
+        # own interrupt at the instant it was sent and then rejoin.
+        log = {}
+        wakes = [(tag % 97) * 0.04 + 0.01 for tag in range(1200)]
+
+        def sleeper(tag):
+            try:
+                yield env.timeout(wakes[tag])
+                log[tag] = ("done", env.now)
+            except Interrupt as exc:
+                sent = env.now
+                yield env.timeout(0.1)
+                log[tag] = ("intr", exc.cause, sent, env.now)
+
+        procs = [env.process(sleeper(tag)) for tag in range(1200)]
+        sent_at = {}
+
+        def storm():
+            yield env.timeout(1.0)
+            for tag, proc in enumerate(procs):
+                if proc.is_alive and tag % 7 == 0:
+                    sent_at[tag] = env.now
+                    proc.interrupt(cause=tag)
+                    yield env.timeout(0.001)
+
+        env.process(storm())
+        env.run()
+        assert len(log) == 1200
+        assert sent_at, "the storm interrupted nobody"
+        for tag, entry in log.items():
+            if tag in sent_at:
+                sent = sent_at[tag]
+                assert entry == ("intr", tag, sent, sent + 0.1)
+            else:
+                assert entry == ("done", wakes[tag])
 
     def test_self_interrupt_rejected(self, env):
         def selfish(env):

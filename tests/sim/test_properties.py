@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Resource, Store
+from repro.sim.core import NORMAL, URGENT
 
 
 @settings(max_examples=60, deadline=None)
@@ -26,6 +27,64 @@ def test_property_events_fire_in_time_order(delays):
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
     assert env.now == max(delays)
+
+
+#: one scheduled entry: (delay in quarter steps, priority, cancel?);
+#: quarter steps are exact binary floats, so equal sums are exact ties
+_entries = st.tuples(st.integers(min_value=0, max_value=8),
+                     st.sampled_from([URGENT, NORMAL]), st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan=st.lists(st.tuples(_entries, st.lists(_entries, max_size=3)),
+                     min_size=1, max_size=40))
+def test_property_fire_order_is_sorted_schedule(plan):
+    """The queue fires entries in (time, priority, schedule index)
+    order, skipping lazily cancelled ones.
+
+    Each top-level entry's callback schedules its children, so entries
+    also arrive mid-run.  A zero-delay child is kept NORMAL so every
+    entry sorts after the one that scheduled it; the sorted schedule is
+    then the exact reference for any correct priority queue.  Only
+    NORMAL entries are timeouts, so only they can be cancelled.
+    """
+    env = Environment()
+    scheduled = []
+    live = []
+    fired = []
+
+    def arm(entry, children, from_callback):
+        steps, priority, cancel = entry
+        delay = steps * 0.25
+        if from_callback and delay == 0.0:
+            priority = NORMAL
+        key = (env.now + delay, priority, len(scheduled))
+        scheduled.append(key)
+        if priority == URGENT:
+            event = env.event()
+            event._ok = True
+            event._value = None
+            env._enqueue(event, URGENT, delay)
+        else:
+            event = env.timeout(delay)
+
+        def fire(_event):
+            fired.append(key)
+            for child in children:
+                arm(child, (), True)
+
+        event.callbacks.append(fire)
+        if cancel and priority == NORMAL:
+            event.cancel()
+        else:
+            live.append(key)
+
+    for entry, children in plan:
+        arm(entry, children, False)
+    env.run()
+    assert fired == sorted(live)
+    # Cancelled entries never move the clock, even when they are last.
+    assert env.now == (fired[-1][0] if fired else 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -46,6 +46,15 @@ class TestCorpus:
     def test_zero_bytes(self):
         assert make_text(0) == b""
 
+    def test_every_size_is_exact(self):
+        # Regression: a word stream ending exactly at nbytes used to
+        # come back one byte short (49 of these sizes, e.g. 5 -> 4).
+        corpus = TextCorpus(seed=1234)
+        for nbytes in range(400):
+            text = corpus.generate(nbytes)
+            assert len(text) == nbytes
+            assert text == corpus.generate(nbytes + 1)[:nbytes]
+
 
 class TestKvWorkload:
     def test_get_resolves_to_page(self):
