@@ -186,10 +186,10 @@ class Nic:
 
         The TX serializer is held once for the whole burst and each
         frame is delivered at its own serialization boundary — the
-        wire sees frames at exactly the spacing a loop of
-        :meth:`transmit` calls with no work in between would produce,
-        but the sender pays one scheduler entry instead of three per
-        frame.  Falls back to sequential transmits when the wire does
+        wire sees frames at the spacing a loop of :meth:`transmit`
+        calls with no work in between would produce (up to float
+        rounding), but the sender pays one scheduler entry instead of
+        three per frame.  Falls back to sequential transmits when the wire does
         not support scheduled delivery or the serializer is busy.
         """
         if len(frames) == 1:
@@ -222,8 +222,9 @@ class Nic:
         Eventless companion to :meth:`transmit_batch` for senders that
         have a CPU charge (or similar pure delay) between *now* and
         the first byte on the wire: the whole burst is scheduled up
-        front — every frame arrives at exactly the instant the
-        charge-then-transmit sequence would deliver it — and the TX
+        front — every frame arrives at the instant the
+        charge-then-transmit sequence would deliver it, up to float
+        rounding of the fused sums — and the TX
         serializer is reserved without a scheduler entry.  Returns the
         total time until the last byte is clocked out (``delay`` +
         serialization), which the caller sleeps in a single timeout;

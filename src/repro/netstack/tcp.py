@@ -202,17 +202,21 @@ class TcpConnection:
         queue = self._snd_queue
         while True:
             item = yield queue.get()
-            if stack.tracer.enabled:
-                yield from self._send_message_traced(item)
-                continue
+            # Tracing only observes: one ``tcp.msg_tx`` span per
+            # dequeued message, oldest first, closed after the burst
+            # that carries its last segment.  Every message dequeued
+            # here is fully sent before the loop parks on the queue
+            # again, so the deque starts empty each time.
+            spans = deque() if stack.tracer.enabled else None
+            if spans is not None:
+                spans.append(self._begin_msg_span(item))
             buffer: Buffer = item["buffer"]
             offset = 0
             size = max(buffer.size, 1)
             while item is not None:
                 chunk = min(_MSS, size - offset)
-                # Blocking prelude, identical to the unbatched path:
-                # send-buffer credit and an open window for the first
-                # segment of the burst.
+                # Blocking prelude: send-buffer credit and an open
+                # window for the first segment of the burst.
                 yield self._snd_buffer.get(chunk)
                 yield from self._await_window(chunk)
                 # Burst builder (TSO-style): greedily gather every
@@ -256,6 +260,8 @@ class TcpConnection:
                         item = self._next_queued()
                         if item is None:
                             break
+                        if spans is not None:
+                            spans.append(self._begin_msg_span(item))
                         buffer = item["buffer"]
                         offset = 0
                         size = max(buffer.size, 1)
@@ -274,8 +280,8 @@ class TcpConnection:
                 # Fastest path: both the charge and the serializer
                 # become eventless reservations and the sender parks
                 # on a single timeout spanning charge + serialization
-                # — frame arrival times and the resume instant match
-                # the evented sequence exactly.
+                # — frame arrival times and the resume instant equal
+                # the evented sequence's up to float rounding.
                 frames = [(seg, seg["len"] + _HEADER_BYTES)
                           for seg in batch]
                 cpu = stack.cpu
@@ -301,6 +307,19 @@ class TcpConnection:
                     stack.segments_tx.add(len(batch))
                     yield from stack.nic.transmit_batch(frames)
                 self._arm_rto()
+                if spans is not None:
+                    # A burst may end mid-message or carry several;
+                    # its segments are in message order, so each one
+                    # belongs to the oldest open span.
+                    for segment in batch:
+                        spans[0].attrs["segments"] += 1
+                        if segment["last"]:
+                            spans.popleft().finish()
+
+    def _begin_msg_span(self, item: dict):
+        return self.stack.tracer.begin(
+            "tcp.msg_tx", category="network", cid=self.cid,
+            bytes=item["buffer"].size, segments=0)
 
     def _next_queued(self) -> Optional[dict]:
         """Pop the next queued message synchronously (burst builder)."""
@@ -312,38 +331,6 @@ class TcpConnection:
             queue._drain()      # wake a send_message blocked on space
         return item
 
-    def _send_message_traced(self, item: dict):
-        """Unbatched per-segment path, kept for traced runs so every
-        message still gets its own span with a segment count."""
-        buffer: Buffer = item["buffer"]
-        offset = 0
-        size = max(buffer.size, 1)
-        segments = 0
-        with self.stack.tracer.span(
-                "tcp.msg_tx", category="network", cid=self.cid,
-                bytes=buffer.size) as span:
-            while offset < size:
-                chunk = min(_MSS, size - offset)
-                # Reserve send-buffer space for the bytes in
-                # flight; released as ACKs cover them.
-                yield self._snd_buffer.get(chunk)
-                yield from self._await_window(chunk)
-                if offset == 0 and chunk >= buffer.size:
-                    payload = buffer    # whole message, one segment
-                elif buffer.size:
-                    payload = buffer.slice(
-                        offset, min(chunk, buffer.size - offset)
-                    )
-                else:
-                    payload = buffer
-                last = offset + chunk >= size
-                yield from self._transmit_segment(
-                    payload, chunk, last, item["enqueued_at"]
-                )
-                offset += chunk
-                segments += 1
-            span.annotate(segments=segments)
-
     def _await_window(self, chunk: int):
         while True:
             window = min(self._cwnd, self._peer_rwnd)
@@ -352,23 +339,6 @@ class TcpConnection:
                 return
             self._window_open = self.env.event()
             yield self._window_open
-
-    def _transmit_segment(self, payload: Buffer, chunk: int, last: bool,
-                          enqueued_at: float):
-        seq = self._snd_next
-        self._snd_next += chunk
-        segment = {
-            "proto": "tcp", "kind": "data", "cid": self.cid,
-            "dst": self.remote, "src": self.stack.address,
-            "port": self.port, "seq": seq, "len": chunk,
-            "payload": payload, "last": last,
-            "enqueued_at": enqueued_at, "sent_at": self.env.now,
-            "retransmitted": False,
-        }
-        self._inflight[seq] = segment
-        yield from self.stack._charge_tx(chunk)
-        yield from self.stack._send_frame(segment, chunk + _HEADER_BYTES)
-        self._arm_rto()
 
     # ------------------------------------------------------------- receive
 

@@ -127,6 +127,23 @@ class TestProfile:
         assert "cumtime" in out
 
 
+class TestTraceOut:
+    def test_fig8_trace_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        assert main(["fig8", "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        events = json.loads(path.read_text())["traceEvents"]
+        assert events, "trace is empty"
+        spans = [e for e in events if e.get("ph") == "X"]
+        categories = {e["cat"] for e in spans}
+        assert {"compute", "network", "storage"} <= categories
+        ids = {e["args"]["span_id"] for e in spans}
+        dangling = [e["name"] for e in spans
+                    if e["args"].get("parent_id") is not None
+                    and e["args"]["parent_id"] not in ids]
+        assert dangling == []
+
+
 class TestAttrOut:
     def test_writes_attribution_report(self, tmp_path, capsys):
         path = tmp_path / "attr.json"
