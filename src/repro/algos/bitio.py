@@ -11,7 +11,9 @@ class BitWriter:
     Bits accumulate in one int and are flushed to the output eight
     bytes at a time (``int.to_bytes``), instead of a Python-level loop
     appending one byte per eight bits — the dominant cost when emitting
-    millions of Huffman codes.
+    millions of Huffman codes.  DEFLATE's token emitter runs the same
+    accumulator inline on these slots for a whole block, then stores
+    it back.
     """
 
     __slots__ = ("_out", "_bitbuf", "_bitcount")

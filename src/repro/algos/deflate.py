@@ -9,10 +9,22 @@ streams produced by zlib, which the tests exploit for cross-validation.
 
 Levels: 0 = stored blocks only; 1 = fixed-Huffman, greedy matching;
 6 (default) and above = dynamic Huffman with lazy matching.
+
+The output bytes are a contract, not an implementation detail: every
+simulated write size of a compressed page depends on them.  The match
+search (see :func:`_lz77_tokens`) is defined by the tokens a zlib-style
+hash-chain walk would pick, and the tests hold it to a frozen copy of
+that walk and to pinned SHA-256 digests of real workload pages.  Speed
+comes from doing the same search with less interpreter work — a chain
+index built once per call, a comprehension that filters candidates,
+and a fused bit accumulator for Huffman emission — never from
+searching differently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from typing import List, Optional, Tuple
 
 from .bitio import BitReader, BitWriter
@@ -77,20 +89,6 @@ _LENGTH_LOOKUP = _build_length_lookup()
 _DIST_LOOKUP = _build_dist_lookup()
 
 
-def _length_to_code(length: int) -> Tuple[int, int, int]:
-    """Map a match length to (length code, extra bits, extra value)."""
-    if not _MIN_MATCH <= length <= _MAX_MATCH:
-        raise ValueError(f"match length {length} out of range")
-    return _LENGTH_LOOKUP[length]
-
-
-def _distance_to_code(distance: int) -> Tuple[int, int, int]:
-    """Map a match distance to (distance code, extra bits, extra value)."""
-    if not 1 <= distance <= _WINDOW_SIZE:
-        raise ValueError(f"distance {distance} out of range")
-    return _DIST_LOOKUP[distance]
-
-
 def _reverse_code(code: int, nbits: int) -> int:
     """Bit-reverse a Huffman code (DEFLATE packs codes MSB-first)."""
     reversed_code = 0
@@ -112,101 +110,117 @@ Token = Tuple[int, int]
 
 
 def _lz77_tokens(data: bytes, lazy: bool) -> List[Token]:
-    """Greedy (or one-step lazy) LZ77 with hash-chain match search.
+    """Greedy (or one-step lazy) LZ77 over a 32 KiB window.
 
-    The match search walks a hash chain exactly as zlib does, with two
-    constant-factor tricks that leave the chosen tokens identical:
+    Contract: the tokens are exactly those of a zlib-style hash-chain
+    walk that visits the last ``max_chain`` earlier positions sharing
+    the 3-byte key at ``pos`` (32 greedy, 64 lazy), nearest first,
+    inside the window, and keeps the longest match with ties going to
+    the nearest.  ``tests/algos/_lz77_oracle.py`` freezes that walk
+    and a property test holds this function to it, so compressed
+    sizes never depend on how the search is done.
 
-    * a candidate is rejected with one byte compare unless it can beat
-      the current best (``data[candidate + best_len]`` check), and
-    * match extension compares 32-byte ``memoryview`` blocks (C-speed)
-      and only scans bytes inside the final, mismatching block.
+    How the search is done:
+
+    * one pass per call builds the chain index: each position gets its
+      3-byte key's ascending occurrence list and its rank there, so
+      its candidates are the slice just below that rank (``bisect``
+      trims the slice to the window);
+    * the nearest candidate is measured first, then one list
+      comprehension keeps only the candidates that could beat it
+      (``data[c + best] == data[pos + best]``); the survivors are
+      walked nearest first, replacing the best only on a strictly
+      longer match (one C-level slice compare decides that);
+    * when lazy matching emits a literal at ``pos``, the lookahead
+      search at ``pos + 1`` is reused rather than repeated.
     """
     n = len(data)
     tokens: List[Token] = []
-    head: dict = {}      # 3-byte hash -> most recent position
-    prev = [0] * n       # chain of earlier positions with same hash
+    append = tokens.append
     max_chain = 64 if lazy else 32
-    view = memoryview(data)
+    # The chain index: per position, the ascending list of positions
+    # sharing its 3-byte key, and its own rank in that list.
+    occurrences: defaultdict = defaultdict(list)
+    chains = [occurrences[key] for key in zip(data, data[1:], data[2:])]
+    ranks = [0] * len(chains)
+    for position, chain in enumerate(chains):
+        ranks[position] = len(chain)
+        chain.append(position)
 
-    def insert(pos: int) -> Optional[int]:
-        """Insert position into the chains; return previous head."""
-        if pos + _MIN_MATCH > n:
-            return None
-        key = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
-        older = head.get(key)
-        head[key] = pos
-        if older is not None:
-            prev[pos] = older
-        else:
-            prev[pos] = -1
-        return older
-
-    def find_match(pos: int, chain_start: Optional[int]) -> Tuple[int, int]:
+    def find_match(pos: int) -> Tuple[int, int]:
         """Best (length, distance) at ``pos``; (0, 0) if none."""
-        best_len = 0
-        best_dist = 0
-        limit = min(_MAX_MATCH, n - pos)
-        if limit < _MIN_MATCH or chain_start is None:
+        limit = n - pos
+        if limit > _MAX_MATCH:
+            limit = _MAX_MATCH
+        elif limit < _MIN_MATCH:
             return 0, 0
-        candidate = chain_start
-        chains = 0
-        while candidate >= 0 and chains < max_chain:
-            distance = pos - candidate
-            if distance > _WINDOW_SIZE:
-                break
-            # Quick reject: only candidates that extend at least one
-            # byte past the best so far can win (ties keep the first,
-            # i.e. nearest, match — same rule as the plain scan).
-            if (best_len == 0 or
-                    data[candidate + best_len] == data[pos + best_len]):
-                # Extend by 32-byte blocks, then bytes in the last one.
-                length = 0
-                while (length + 32 <= limit and
-                       view[candidate + length:candidate + length + 32]
-                       == view[pos + length:pos + length + 32]):
-                    length += 32
-                while (length < limit and
-                       data[candidate + length] == data[pos + length]):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best_dist = distance
-                    if length >= limit:
+        chain = chains[pos]
+        end = ranks[pos]
+        if not end:
+            return 0, 0
+        start = end - max_chain if end > max_chain else 0
+        if chain[start] < pos - _WINDOW_SIZE:
+            start = bisect_left(chain, pos - _WINDOW_SIZE, start, end)
+            if start == end:
+                return 0, 0
+        end -= 1
+        best_pos = chain[end]
+        best = _match_length(data, best_pos, pos, _MIN_MATCH, limit)
+        if best < limit and start < end:
+            target = data[pos + best]
+            survivors = [c for c in chain[start:end]
+                         if data[c + best] == target]
+            for c in reversed(survivors):
+                if (data[c + best] == data[pos + best]
+                        and data[c:c + best] == data[pos:pos + best]):
+                    best = _match_length(data, c, pos, best + 1, limit)
+                    best_pos = c
+                    if best >= limit:
                         break
-            candidate = prev[candidate]
-            chains += 1
-        if best_len >= _MIN_MATCH:
-            return best_len, best_dist
-        return 0, 0
+        return best, pos - best_pos
 
     pos = 0
+    ahead: Optional[Tuple[int, int]] = None   # find_match(pos), if known
     while pos < n:
-        chain = insert(pos)
-        length, distance = find_match(pos, chain)
+        if ahead is None:
+            length, distance = find_match(pos)
+        else:
+            length, distance = ahead
+            ahead = None
         if lazy and 0 < length < _MAX_MATCH and pos + 1 < n:
             # Lazy matching: if the next position matches longer, emit
             # a literal now and take the longer match next round.
-            next_chain = head.get(
-                data[pos + 1] | (data[pos + 2] << 8) |
-                (data[pos + 3] << 16)
-                if pos + 3 < n else -1
-            )
-            next_len, _ = find_match(pos + 1, next_chain)
-            if next_len > length:
-                tokens.append((-1, data[pos]))
+            following = find_match(pos + 1)
+            if following[0] > length:
+                append((-1, data[pos]))
                 pos += 1
+                ahead = following
                 continue
         if length:
-            tokens.append((length, distance))
-            # Register the skipped positions in the hash chains.
-            for offset in range(1, length):
-                insert(pos + offset)
+            append((length, distance))
             pos += length
         else:
-            tokens.append((-1, data[pos]))
+            append((-1, data[pos]))
             pos += 1
     return tokens
+
+
+def _match_length(data: bytes, candidate: int, pos: int, known: int,
+                  limit: int) -> int:
+    """Common-prefix length of ``data`` at ``candidate`` and ``pos``.
+
+    The first ``known`` bytes are already known to match; the result
+    is capped at ``limit``.
+    """
+    length = known
+    while (length + 32 <= limit and data[candidate + length:
+                                        candidate + length + 32]
+           == data[pos + length:pos + length + 32]):
+        length += 32
+    while (length < limit and
+           data[candidate + length] == data[pos + length]):
+        length += 1
+    return length
 
 
 # -- block emission ------------------------------------------------------------
@@ -231,27 +245,46 @@ def _emit_stored(writer: BitWriter, data: bytes, final: bool) -> None:
 def _emit_tokens(writer: BitWriter, tokens: List[Token],
                  lit_lengths: List[int], lit_codes: List[int],
                  dist_lengths: List[int], dist_codes: List[int]) -> None:
-    # Bit-reverse each code once per block, not once per occurrence.
+    """Write ``tokens`` and the end-of-block code in one fused loop.
+
+    Per block, every code is bit-reversed once and each match length
+    is folded with its extra bits into one ``(bits, nbits)`` pair, so a
+    token costs one or two table lookups.  Bits gather in a local int
+    that is flushed eight bytes at a time and then handed back to
+    ``writer``'s state, instead of one validated ``write_bits`` call
+    per symbol.
+    """
     lit = [(_reverse_code(code, nbits), nbits)
            for code, nbits in zip(lit_codes, lit_lengths)]
     dist = [(_reverse_code(code, nbits), nbits)
             for code, nbits in zip(dist_codes, dist_lengths)]
-    write_bits = writer.write_bits
-    length_lookup = _LENGTH_LOOKUP
+    match_lengths = [(0, 0)] * (_MAX_MATCH + 1)
+    for length in range(_MIN_MATCH, _MAX_MATCH + 1):
+        code, extra, extra_val = _LENGTH_LOOKUP[length]
+        bits, nbits = lit[code]
+        match_lengths[length] = (bits | extra_val << nbits, nbits + extra)
     dist_lookup = _DIST_LOOKUP
+    out = writer._out
+    bitbuf = writer._bitbuf
+    bitcount = writer._bitcount
     for length, value in tokens:
         if length < 0:
-            write_bits(*lit[value])
+            bits, nbits = lit[value]
         else:
-            code, extra, extra_val = length_lookup[length]
-            write_bits(*lit[code])
-            if extra:
-                write_bits(extra_val, extra)
+            bits, nbits = match_lengths[length]
             dcode, dextra, dextra_val = dist_lookup[value]
-            write_bits(*dist[dcode])
-            if dextra:
-                write_bits(dextra_val, dextra)
-    write_bits(*lit[_END_OF_BLOCK])
+            dbits, dnbits = dist[dcode]
+            bits |= (dbits | dextra_val << dnbits) << nbits
+            nbits += dnbits + dextra
+        bitbuf |= bits << bitcount
+        bitcount += nbits
+        if bitcount >= 64:
+            out += (bitbuf & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+            bitbuf >>= 64
+            bitcount -= 64
+    writer._bitbuf = bitbuf
+    writer._bitcount = bitcount
+    writer.write_bits(*lit[_END_OF_BLOCK])
 
 
 def _emit_fixed(writer: BitWriter, tokens: List[Token], final: bool) -> None:
@@ -306,14 +339,14 @@ def _emit_dynamic(writer: BitWriter, tokens: List[Token],
     lit_freq = [0] * 286
     dist_freq = [0] * 30
     lit_freq[_END_OF_BLOCK] = 1
+    length_lookup = _LENGTH_LOOKUP
+    dist_lookup = _DIST_LOOKUP
     for length, value in tokens:
         if length < 0:
             lit_freq[value] += 1
         else:
-            code, _, _ = _length_to_code(length)
-            lit_freq[code] += 1
-            dcode, _, _ = _distance_to_code(value)
-            dist_freq[dcode] += 1
+            lit_freq[length_lookup[length][0]] += 1
+            dist_freq[dist_lookup[value][0]] += 1
 
     lit_lengths = code_lengths_from_frequencies(lit_freq, 15)
     dist_lengths = code_lengths_from_frequencies(dist_freq, 15)
@@ -456,16 +489,24 @@ def _inflate_block(reader: BitReader, out: bytearray,
         elif symbol == _END_OF_BLOCK:
             return
         else:
+            if symbol - 257 >= len(_LENGTH_CODES):
+                raise ValueError(f"invalid literal/length code {symbol}")
             extra, base = _LENGTH_CODES[symbol - 257]
             length = base + (reader.read_bits(extra) if extra else 0)
             dcode = dist_decoder.decode(reader)
+            if dcode >= len(_DIST_CODES):
+                raise ValueError(f"invalid distance code {dcode}")
             dextra, dbase = _DIST_CODES[dcode]
             distance = dbase + (reader.read_bits(dextra) if dextra else 0)
             if distance > len(out):
                 raise ValueError("distance beyond window start")
             start = len(out) - distance
-            for i in range(length):   # may overlap itself (RLE-style)
-                out.append(out[start + i])
+            if distance >= length:
+                out += out[start:start + length]
+            else:
+                # Overlaps itself (RLE-style): the match repeats the
+                # last ``distance`` bytes, so copy that period.
+                out += (out[start:] * (length // distance + 1))[:length]
 
 
 def compression_ratio(data: bytes, level: int = 6) -> float:

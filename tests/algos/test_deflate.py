@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos import compression_ratio, deflate, inflate
+from repro.algos import (
+    BitWriter,
+    canonical_codes,
+    compression_ratio,
+    deflate,
+    inflate,
+)
+from repro.algos.deflate import _CLC_ORDER, _fixed_literal_lengths
 
 
 def _zlib_raw_compress(data: bytes, level: int = 6) -> bytes:
@@ -94,6 +101,104 @@ class TestErrors:
         compressed = deflate(b"some reasonably long input " * 20, 6)
         with pytest.raises((ValueError, EOFError)):
             inflate(compressed[:len(compressed) // 2])
+
+
+# -- hand-packed streams with out-of-range codes ----------------------------
+
+def _write_symbols(writer, symbols, lengths):
+    codes = canonical_codes(lengths)
+    for symbol in symbols:
+        writer.write_huffman_code(codes[symbol], lengths[symbol])
+
+
+def _fixed_block(literal_symbols):
+    """One final fixed-Huffman block of literal/length symbols."""
+    writer = BitWriter()
+    writer.write_bits(1, 1)                  # BFINAL
+    writer.write_bits(1, 2)                  # BTYPE=01
+    _write_symbols(writer, literal_symbols, _fixed_literal_lengths())
+    return writer.getvalue()
+
+
+def _dynamic_block(lit_lengths, dist_lengths, codes):
+    """One final dynamic block; ``codes`` is [(alphabet, symbol)].
+
+    Every code length is 0, 1 or 2 and is sent as its own
+    code-length symbol (no run-length codes), which keeps the header
+    easy to check by hand.
+    """
+    clc_lengths = [0] * 19
+    clc_lengths[0], clc_lengths[1], clc_lengths[2] = 1, 2, 2
+    hclen = _CLC_ORDER.index(1) + 1
+    writer = BitWriter()
+    writer.write_bits(1, 1)                  # BFINAL
+    writer.write_bits(2, 2)                  # BTYPE=10
+    writer.write_bits(len(lit_lengths) - 257, 5)
+    writer.write_bits(len(dist_lengths) - 1, 5)
+    writer.write_bits(hclen - 4, 4)
+    for symbol in _CLC_ORDER[:hclen]:
+        writer.write_bits(clc_lengths[symbol], 3)
+    _write_symbols(writer, lit_lengths + dist_lengths, clc_lengths)
+    alphabets = {"lit": lit_lengths, "dist": dist_lengths}
+    for alphabet, symbol in codes:
+        _write_symbols(writer, [symbol], alphabets[alphabet])
+    return writer.getvalue()
+
+
+def _lit_lengths(size, *symbols):
+    """A ``size``-entry literal/length alphabet: 4 symbols, 2 bits each."""
+    return [2 if symbol in symbols else 0 for symbol in range(size)]
+
+
+def _dist_lengths(size, *symbols):
+    """A ``size``-entry distance alphabet: 2 symbols, 1 bit each."""
+    return [1 if symbol in symbols else 0 for symbol in range(size)]
+
+
+class TestOutOfRangeCodes:
+    """Symbols 286/287 and distances 30/31 exist in the code space but
+    are invalid in a stream.  zlib rejects them (a dynamic header that
+    declares them already fails there); inflate raises ValueError."""
+
+    @pytest.mark.parametrize("symbol", [286, 287])
+    def test_fixed_block_length_symbol(self, symbol):
+        stream = _fixed_block([ord("a"), symbol, 256])
+        with pytest.raises(zlib.error):
+            zlib.decompress(stream, wbits=-15)
+        with pytest.raises(ValueError, match="literal/length"):
+            inflate(stream)
+
+    def test_dynamic_block_length_symbol(self):
+        stream = _dynamic_block(
+            _lit_lengths(288, ord("a"), 256, 257, 287),
+            _dist_lengths(30, 0, 29),
+            [("lit", ord("a")), ("lit", 287), ("lit", 256)])
+        with pytest.raises(zlib.error):
+            zlib.decompress(stream, wbits=-15)
+        with pytest.raises(ValueError, match="literal/length"):
+            inflate(stream)
+
+    @pytest.mark.parametrize("dcode", [30, 31])
+    def test_dynamic_block_distance_symbol(self, dcode):
+        stream = _dynamic_block(
+            _lit_lengths(286, ord("a"), 256, 257, 258),
+            _dist_lengths(32, 0, dcode),
+            [("lit", ord("a")), ("lit", 257), ("dist", dcode),
+             ("lit", 256)])
+        with pytest.raises(zlib.error):
+            zlib.decompress(stream, wbits=-15)
+        with pytest.raises(ValueError, match="distance code"):
+            inflate(stream)
+
+    def test_hand_packed_dynamic_block_is_valid(self):
+        # The same packing with in-range codes decodes: 'a', then a
+        # length-3 match at distance 1.
+        stream = _dynamic_block(
+            _lit_lengths(286, ord("a"), 256, 257, 258),
+            _dist_lengths(30, 0, 29),
+            [("lit", ord("a")), ("lit", 257), ("dist", 0), ("lit", 256)])
+        assert zlib.decompress(stream, wbits=-15) == b"aaaa"
+        assert inflate(stream) == b"aaaa"
 
 
 @settings(max_examples=40, deadline=None)

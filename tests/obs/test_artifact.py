@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,27 @@ class TestProvenance:
         assert _src_sha256(tmp_path) == expected
         (tmp_path / "pkg" / "a.py").write_bytes(b"x = 2\n")
         assert _src_sha256(tmp_path) != expected
+
+
+class TestCommittedBaseline:
+    """``BENCH_baseline.json`` is valid and names the code it came from.
+
+    A change to anything under ``src/`` must re-bless the baseline
+    (``python -m repro.bench --json-out BENCH_baseline.json``), so the
+    perf gate never compares against numbers from other code.
+    """
+
+    BASELINE = Path(__file__).resolve().parents[2] / "BENCH_baseline.json"
+
+    def test_baseline_is_a_valid_artifact(self):
+        document = json.loads(self.BASELINE.read_text())
+        assert validate_artifact(document) == []
+        assert document["experiments"]
+
+    def test_baseline_provenance_matches_src(self):
+        document = load_artifact(str(self.BASELINE))
+        assert document["provenance"]["src_sha256"] == _src_sha256(), \
+            "BENCH_baseline.json was blessed from other code: re-bless it"
 
 
 class TestArtifactDocument:
