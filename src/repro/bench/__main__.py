@@ -15,10 +15,10 @@ The benchmark observatory rides on the same runner:
 * ``--check ARTIFACT.json`` evaluates the declarative paper-claims
   registry (F1–F3, F6–F8, S9 — see ``repro.obs.claims``) against an
   artifact and exits nonzero on any FAIL;
-* ``--compare BASELINE.json [CANDIDATE.json]`` diffs two artifacts
-  metric-by-metric within per-metric tolerance bands (one path: the
-  selected experiments run and the fresh results are the candidate),
-  exiting nonzero on regression;
+* ``--compare BASELINE.json [CANDIDATE.json]`` judges every
+  simulated value exactly and real time against budgets (see
+  ``repro.obs.regress``); with one path the selected experiments run
+  and only they are judged, with two every experiment of either is;
 * ``--profile`` attributes *real* (not simulated) time per experiment
   via cProfile, prints a top-N hotspot table, and persists the rows
   into the ``--json-out`` artifact (``experiments.<key>.profile``) so
@@ -32,18 +32,17 @@ The benchmark observatory rides on the same runner:
 * ``--attr-out PATH`` does the same tracing run but exports
   per-experiment latency *attribution* reports — each DDS request's
   end-to-end latency decomposed into a conserved per-resource ledger
-  (see ``repro.obs.attr``) — plus a top-bottleneck summary;
+  (see ``repro.obs.attr``) — plus a top-bottleneck summary; it
+  fails on a conservation error above 1e-9 s or zero requests;
 * ``--jobs N`` fans the selected experiments out over a process
   pool.  Experiments are independent simulations with fixed seeds,
-  so the artifact is byte-identical to a sequential run outside
-  wall-clock fields — which is exactly what
-* ``--identity A.json B.json`` checks (canonical sorted JSON after
-  stripping wall clocks, the recorded argv, and the real-time
-  ``perf`` experiment), the CI gate for the parallel runner.
+  so every result equals a sequential run's — which is exactly what
+* ``--identity A.json B.json`` checks: ``--compare`` without the
+  real-time budgets, the CI gate for the parallel runner.
 
-Exit codes: 0 success; 1 failed claim, regression, or identity
-mismatch; 2 usage or artifact error; 3 ``--trace-out`` with no
-traceable experiment selected.
+Exit codes: 0 success; 1 failed claim, regression, identity mismatch
+or broken attribution conservation; 2 usage or artifact error; 3
+``--trace-out``/``--attr-out`` with no traceable experiment selected.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ from ..obs.artifact import (
     encode_part,
     load_artifact,
     make_artifact,
-    strip_volatile,
     write_artifact,
 )
 from ..obs.attr import build_report
@@ -102,6 +100,9 @@ from ..obs.regress import (
 
 #: experiments whose runner accepts a Telemetry (for --trace-out)
 TRACEABLE = ("fig6", "fig8", "scale", "avail", "obs", "attr")
+
+#: the largest attribution conservation error (s) --attr-out accepts
+CONSERVATION_BOUND_S = 1e-9
 
 #: traceable experiments that run a Cluster and therefore take a
 #: ClusterTelemetry plane (one Chrome process per node in the trace)
@@ -326,8 +327,12 @@ def _tracer_pairs(key: str, telemetry):
     return [(key, telemetry.tracer)]
 
 
-def _write_attr(path: str, traced) -> None:
-    """Per-experiment attribution reports as one JSON document."""
+def _write_attr(path: str, traced) -> int:
+    """Per-experiment attribution reports as one JSON document.
+
+    Returns 1 when a report breaks conservation or the run attributed
+    no request at all (fig6 and avail alone attribute none), else 0.
+    """
     document = {
         "schema": "repro.obs/attr-report",
         "schema_version": 1,
@@ -349,6 +354,17 @@ def _write_attr(path: str, traced) -> None:
             for row in top) or "none"
         print(f"  {key}: {entry['requests']} requests attributed, "
               f"top bottlenecks: {ranked}")
+    reports = document["experiments"]
+    failures = [f"{key}: attribution conservation broken (max error "
+                f"{entry['max_conservation_error_s']} s)"
+                for key, entry in reports.items()
+                if not entry["max_conservation_error_s"]
+                <= CONSERVATION_BOUND_S]
+    if not sum(entry["requests"] for entry in reports.values()):
+        failures.append("attribution report is empty")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 # -- observatory subcommands ------------------------------------------------
@@ -374,50 +390,18 @@ def _run_check(path: str) -> int:
     return 1 if any(r.status == FAIL for r in results) else 0
 
 
-def _run_identity(path_a: str, path_b: str) -> int:
-    """--identity: two artifacts must agree byte-for-byte.
-
-    Wall-clock fields, the recorded command line, and the real-time
-    ``perf`` experiment are stripped first (see
-    :func:`repro.obs.artifact.strip_volatile`); everything that is
-    *supposed* to be deterministic — every simulated metric — is then
-    compared as canonical sorted JSON.  This is the gate that proves
-    ``--jobs N`` cannot change a result.
-    """
-    documents = []
-    for path in (path_a, path_b):
-        document = _load_or_complain(path)
-        if document is None:
-            return 2
-        documents.append(json.dumps(strip_volatile(document),
-                                    indent=1, sort_keys=True))
-    if documents[0] == documents[1]:
-        print(f"identical: {path_a} == {path_b} "
-              f"({len(documents[0])} canonical bytes, wall-clock "
-              "fields excluded)")
-        return 0
-    lines_a = documents[0].splitlines()
-    lines_b = documents[1].splitlines()
-    print(f"artifacts differ: {path_a} vs {path_b}", file=sys.stderr)
-    shown = 0
-    for index, (line_a, line_b) in enumerate(zip(lines_a, lines_b)):
-        if line_a != line_b:
-            print(f"  line {index + 1}:\n  - {line_a.strip()}"
-                  f"\n  + {line_b.strip()}", file=sys.stderr)
-            shown += 1
-            if shown >= 10:
-                break
-    if len(lines_a) != len(lines_b):
-        print(f"  ({len(lines_a)} vs {len(lines_b)} canonical lines)",
-              file=sys.stderr)
-    return 1
-
-
-def _run_compare(baseline_path: str, candidate) -> int:
-    """--compare: baseline artifact vs candidate (doc or path)."""
+def _run_compare(baseline_path: str, candidate, budgets: bool = True,
+                 only=None) -> int:
+    """--compare / --identity (``budgets=False``): baseline vs a
+    candidate path or this run's document, the baseline limited to
+    the experiments in ``only`` when given."""
     baseline = _load_or_complain(baseline_path)
     if baseline is None:
         return 2
+    if only is not None:
+        baseline["experiments"] = {
+            key: entry for key, entry in baseline["experiments"].items()
+            if key in only}
     if isinstance(candidate, str):
         candidate_doc = _load_or_complain(candidate)
         if candidate_doc is None:
@@ -426,9 +410,9 @@ def _run_compare(baseline_path: str, candidate) -> int:
     else:
         candidate_doc = candidate
         candidate_name = "this run"
-    report = compare(baseline, candidate_doc)
-    print(banner(f"regression check: {baseline_path} "
-                 f"vs {candidate_name}"))
+    report = compare(baseline, candidate_doc, budgets=budgets)
+    print(banner(f"{'regression' if budgets else 'identity'} check: "
+                 f"{baseline_path} vs {candidate_name}"))
     print(render_comparison(report))
     attributed = render_attribution_shifts(report, baseline,
                                            candidate_doc)
@@ -467,7 +451,8 @@ def main(argv=None) -> int:
                              "experiments run)")
     parser.add_argument("--compare", metavar="ARTIFACT", default=None,
                         nargs="+",
-                        help="diff artifacts metric-by-metric: with "
+                        help="judge results exactly against a "
+                             "baseline, with wall-clock budgets: with "
                              "two paths compare them directly; with "
                              "one path run the selected experiments "
                              "and compare the fresh results against "
@@ -485,9 +470,9 @@ def main(argv=None) -> int:
                              "--identity)")
     parser.add_argument("--identity", metavar="ARTIFACT", default=None,
                         nargs=2,
-                        help="compare two artifacts byte-for-byte "
-                             "outside wall-clock fields and exit "
-                             "(no experiments run)")
+                        help="compare two artifacts' results "
+                             "exactly, without wall-clock budgets, and "
+                             "exit (no experiments run)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -500,7 +485,8 @@ def main(argv=None) -> int:
         return _run_check(args.check)
 
     if args.identity:
-        return _run_identity(args.identity[0], args.identity[1])
+        return _run_compare(args.identity[0], args.identity[1],
+                            budgets=False)
 
     if args.jobs == 0:
         # Autodetect: one worker per CPU.  Identity is guaranteed
@@ -591,6 +577,7 @@ def main(argv=None) -> int:
                 print(_hotspot_table(hotspots))
     suite_wall = time.time() - suite_started
 
+    exit_code = 0
     if tracing_wanted:
         if not traced:
             print("no traceable experiment selected "
@@ -605,9 +592,8 @@ def main(argv=None) -> int:
         if args.trace_out:
             _write_trace(args.trace_out, traced)
         if args.attr_out:
-            _write_attr(args.attr_out, traced)
+            exit_code = _write_attr(args.attr_out, traced)
 
-    exit_code = 0
     if args.json_out or args.compare:
         document = make_artifact(results, argv=argv,
                                  total_wall_clock_s=suite_wall)
@@ -620,7 +606,9 @@ def main(argv=None) -> int:
                   f"{metric_count} parts in {suite_wall:.1f}s "
                   f"(jobs={args.jobs}) -> {args.json_out}]")
         if args.compare:
-            exit_code = _run_compare(args.compare[0], document)
+            # A one-path run judges only the experiments it ran.
+            exit_code = max(exit_code, _run_compare(
+                args.compare[0], document, only=selected))
     return exit_code
 
 

@@ -71,8 +71,7 @@ _PART_TYPES = ("sweep", "table", "nested")
 
 #: Experiments whose metrics are real wall-clock measurements (the
 #: kernel microbenchmarks) rather than simulated results: excluded
-#: from the sequential-vs-parallel byte-identity check and compared
-#: warn-only by the regression comparator.
+#: from ``--identity`` and compared warn-only by ``--compare``.
 VOLATILE_EXPERIMENTS = ("perf",)
 
 
@@ -221,24 +220,25 @@ def make_artifact(experiments: Dict[str, Dict[str, Any]],
 
 
 def strip_volatile(document: Dict[str, Any]) -> Dict[str, Any]:
-    """A deep copy of ``document`` with everything run-dependent gone.
+    """A deep copy of ``document`` holding only its results.
 
-    Two runs of the same code on the same tree must agree on the
-    result *byte for byte* — regardless of ``--jobs``, load, or
-    machine speed.  This canonical form drops exactly the fields
-    that legitimately vary: wall clocks (per-experiment and total),
-    the recorded command line (``--jobs N``/output paths differ),
-    per-experiment ``--profile`` hotspot rows (real time), and the
-    :data:`VOLATILE_EXPERIMENTS`, whose metrics *are* wall clocks.  Everything else — every simulated metric, claim input,
-    and provenance field — must match.
+    Two runs of the same code must agree on every result exactly,
+    regardless of ``--jobs``, load, machine speed or host.  This is
+    the one definition of what is *not* a result, and it drops:
+
+    * wall clocks, per experiment and for the whole suite;
+    * per-experiment ``--profile`` hotspot rows (real time);
+    * the :data:`VOLATILE_EXPERIMENTS`, whose metrics are wall clocks;
+    * ``provenance``, a record of where the run came from (git state,
+      python, argv, the ``src_sha256`` of the code).
+
+    Everything left is a simulated result.
     """
     import copy
 
     canonical = copy.deepcopy(document)
     canonical.pop("total_wall_clock_s", None)
-    provenance = canonical.get("provenance")
-    if isinstance(provenance, dict):
-        provenance.pop("argv", None)
+    canonical.pop("provenance", None)
     experiments = canonical.get("experiments")
     if isinstance(experiments, dict):
         for key in VOLATILE_EXPERIMENTS:

@@ -1,32 +1,32 @@
-"""Metric-by-metric regression comparison of two benchmark artifacts.
+"""Exact regression comparison of two benchmark artifacts.
 
-``python -m repro.bench --compare BASELINE.json CANDIDATE.json``
-walks every numeric metric both artifacts carry (every sweep row,
-table metric, and nested-config metric) and flags values that drifted
-outside a per-metric tolerance band.  The simulation is deterministic,
-so simulated metrics from the same code match exactly and any drift
-is a real behavior change.  Wall-clock attributions vary by machine
-but are budgeted deliberately: exceeding 2x the baseline is a hard
-regression, while the ``perf`` kernel microbenchmarks (pure real-time
-rates) only ever warn.
+``--compare`` and ``--identity`` both call :func:`compare`.  The
+simulation is deterministic, so results are judged exactly: every
+leaf of ``strip_volatile(artifact)["experiments"]`` (numbers, strings,
+part types, sweep ``x`` values and keys) must be equal, NaN equal to
+NaN, and each difference is a regression named by its path
+(``fig2.storage_cpu[x=450].kernel_cores``, ``a4.persistence.speedup``).
+Provenance is a record, not a result; the report header prints both
+artifacts' ``src_sha256``.
 
-Tolerances are rules — ``(fnmatch pattern, rel_tol, abs_tol,
-severity)`` matched against the metric path
-(``fig2.storage_cpu[x=450].kernel_cores``) — first match wins, so a
-caller can pin one noisy metric loose while keeping the default
-tight.
+``--compare`` also budgets real time: each experiment's
+``wall_clock_s`` at most 2x + 1 s of the baseline's, the suite's
+``total_wall_clock_s`` at most 1.5x + 2 s (one-sided), and the
+real-time ``perf`` numbers warn-only past 2x + 1 (their structure is
+still exact).  ``--identity`` skips the budgets: its inputs
+(``--jobs 1`` vs ``--jobs 4``, or two hosts) differ in real time by
+design.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .artifact import VOLATILE_EXPERIMENTS, _is_number, strip_volatile
+
 __all__ = [
-    "ToleranceRule",
-    "DEFAULT_TOLERANCES",
     "Delta",
     "ComparisonReport",
     "AttributionShift",
@@ -36,61 +36,28 @@ __all__ = [
     "render_attribution_shifts",
 ]
 
-OK, WARN, REGRESSION = "ok", "warn", "regression"
+WARN, REGRESSION = "warn", "regression"
 
-
-@dataclass(frozen=True)
-class ToleranceRule:
-    """One tolerance band, matched against metric paths."""
-
-    pattern: str                 # fnmatch over the metric path
-    rel_tol: float               # allowed |delta| / |baseline|
-    abs_tol: float = 1e-12      # slack for near-zero baselines
-    severity: str = REGRESSION  # what exceeding the band means
-    one_sided: bool = False     # only flag candidate > baseline
-                                # (budgets: faster is never a fail)
-
-
-#: Order matters: first matching rule wins.
-DEFAULT_TOLERANCES: Tuple[ToleranceRule, ...] = (
-    # The kernel microbenchmarks measure real time by design: their
-    # rates swing with machine and load, so they only ever warn.
-    ToleranceRule("perf.*", rel_tol=1.0, abs_tol=1.0,
-                  severity=WARN),
-    # The suite-total wall clock is the CI perf budget: the committed
-    # baseline records what the whole run costs, and a candidate
-    # exceeding 1.5x that total hard-fails the gate.  Tighter than
-    # the per-experiment band because per-experiment jitter averages
-    # out over the suite; one-sided because a faster suite is the
-    # goal, not a regression.
-    ToleranceRule("total_wall_clock_s", rel_tol=0.5, abs_tol=2.0,
-                  severity=REGRESSION, one_sided=True),
-    # Wall clock is intentional now (the fast-path work budgets it):
-    # a generous 2x-baseline hard bound catches real perf regressions
-    # while absorbing machine-to-machine variance.  The band is
-    # symmetric in |drift|, but an improvement can never trip it
-    # (|candidate - baseline| < baseline whenever candidate >= 0).
-    ToleranceRule("*.wall_clock_s", rel_tol=1.0, abs_tol=1.0,
-                  severity=REGRESSION),
-    # Simulated metrics are deterministic; allow a small band so
-    # intentional calibration tweaks don't trip on rounding.
-    ToleranceRule("*", rel_tol=0.05, abs_tol=1e-9),
-)
+#: Keys that only hold structure; paths skip them, so
+#: ``a4.parts.persistence.values.speedup`` reads ``a4.persistence.speedup``.
+_STRUCTURAL_KEYS = ("parts", "rows", "values")
 
 
 @dataclass
 class Delta:
-    """One compared metric."""
+    """One value that differs between the two artifacts."""
 
     path: str
-    baseline: Optional[float]
-    candidate: Optional[float]
-    status: str                  # ok / warn / regression
+    baseline: Any                # None when missing from the baseline
+    candidate: Any               # None when missing from the candidate
+    status: str                  # warn / regression
     note: str = ""
 
     @property
     def rel_change(self) -> float:
-        if self.baseline is None or self.candidate is None:
+        """Relative change of a numeric value; NaN for anything else."""
+        if not (_is_number(self.baseline)
+                and _is_number(self.candidate)):
             return math.nan
         if self.baseline == 0:
             return 0.0 if self.candidate == 0 else math.inf
@@ -99,9 +66,13 @@ class Delta:
 
 @dataclass
 class ComparisonReport:
-    """Everything ``--compare`` found."""
+    """Everything :func:`compare` found."""
 
     deltas: List[Delta] = field(default_factory=list)
+    compared: int = 0            # result leaves walked
+    baseline_src: Optional[str] = None
+    candidate_src: Optional[str] = None
+    headroom: str = ""           # the suite budget line, if judged
 
     @property
     def regressions(self) -> List[Delta]:
@@ -116,93 +87,123 @@ class ComparisonReport:
         return not self.regressions
 
 
-# -- metric flattening ------------------------------------------------------
+# -- the results walker -----------------------------------------------------
 
 
-def _iter_metrics(artifact: Dict[str, Any],
-                  ) -> Iterator[Tuple[str, float]]:
-    """Yield ``(path, value)`` for every numeric metric."""
-    total = artifact.get("total_wall_clock_s")
-    if total is not None:
-        yield "total_wall_clock_s", total
-    for exp_key in sorted(artifact.get("experiments", {})):
-        entry = artifact["experiments"][exp_key]
-        wall = entry.get("wall_clock_s")
-        if wall is not None:
-            yield f"{exp_key}.wall_clock_s", wall
-        for part_name in sorted(entry.get("parts", {})):
-            part = entry["parts"][part_name]
-            prefix = f"{exp_key}.{part_name}"
-            kind = part.get("type")
-            if kind == "sweep":
-                for row in part["rows"]:
-                    for name in sorted(row["values"]):
-                        yield (f"{prefix}[x={row['x']:g}].{name}",
-                               row["values"][name])
-            elif kind == "table":
-                for name in sorted(part["values"]):
-                    yield f"{prefix}.{name}", part["values"][name]
-            elif kind == "nested":
-                for config in sorted(part["rows"]):
-                    for name in sorted(part["rows"][config]):
-                        yield (f"{prefix}.{config}.{name}",
-                               part["rows"][config][name])
+def _paired_leaves(base: Any, cand: Any,
+                   path: str) -> Iterator[Tuple[str, Any, Any]]:
+    """Yield ``(path, baseline, candidate)`` for every leaf.
+
+    Dicts pair by key and lists (sweep rows, labelled by ``x``) by
+    position; an entry on one side only yields its whole subtree
+    against ``None``.
+    """
+    if isinstance(base, dict) and isinstance(cand, dict):
+        for key in sorted(set(base) | set(cand), key=str):
+            where = path if key in _STRUCTURAL_KEYS \
+                else f"{path}.{key}".lstrip(".")
+            if key in base and key in cand:
+                yield from _paired_leaves(base[key], cand[key], where)
+            else:
+                yield where, base.get(key), cand.get(key)
+    elif isinstance(base, list) and isinstance(cand, list):
+        for index in range(max(len(base), len(cand))):
+            pair = (base[index] if index < len(base) else None,
+                    cand[index] if index < len(cand) else None)
+            row = pair[0] or pair[1]
+            where = path + (f"[x={row['x']:g}]" if isinstance(row, dict)
+                            and _is_number(row.get("x"))
+                            else f"[{index}]")
+            if None in pair:
+                yield (where,) + pair
+            else:
+                yield from _paired_leaves(*pair, where)
+    else:
+        yield path, base, cand
 
 
-def _rule_for(path: str,
-              tolerances: Tuple[ToleranceRule, ...]) -> ToleranceRule:
-    for rule in tolerances:
-        if fnmatchcase(path, rule.pattern):
-            return rule
-    return ToleranceRule("*", rel_tol=0.0)
+def _same(base: Any, cand: Any) -> bool:
+    return base == cand or (base != base and cand != cand)   # NaN
+
+
+def _regression(path: str, base: Any, cand: Any) -> Delta:
+    note = ("disappeared" if cand is None
+            else "new (not in baseline)" if base is None else "differs")
+    return Delta(path, base, cand, REGRESSION, note=note)
+
+
+# -- real-time budgets ------------------------------------------------------
+
+
+def _budget(report: ComparisonReport, path: str, base: Any, cand: Any,
+            factor: float, slack: float, severity: str) -> None:
+    """Flag ``cand`` above ``factor * base + slack``."""
+    if base is None:
+        return
+    if cand is None:
+        report.deltas.append(_regression(path, base, cand))
+    elif cand > factor * base + slack:
+        report.deltas.append(Delta(
+            path, base, cand, severity,
+            note=f"over budget {factor * base + slack:.4g}"))
+
+
+def _judge_real_time(baseline: Dict[str, Any],
+                     candidate: Dict[str, Any],
+                     report: ComparisonReport) -> None:
+    """The wall-clock budgets and the warn-only ``perf`` numbers."""
+    base_exps = baseline.get("experiments", {})
+    cand_exps = candidate.get("experiments", {})
+    base_total = baseline.get("total_wall_clock_s")
+    cand_total = candidate.get("total_wall_clock_s")
+    if base_total is not None and cand_total is not None:
+        report.headroom = (
+            f"suite wall clock: {cand_total:.1f}s of "
+            f"{1.5 * base_total + 2.0:.1f}s budget "
+            f"(baseline {base_total:.1f}s x 1.5 + 2s)")
+    _budget(report, "total_wall_clock_s", base_total, cand_total,
+            1.5, 2.0, REGRESSION)
+    for key in sorted(set(base_exps) & set(cand_exps)):
+        _budget(report, f"{key}.wall_clock_s",
+                base_exps[key].get("wall_clock_s"),
+                cand_exps[key].get("wall_clock_s"), 2.0, 1.0,
+                WARN if key in VOLATILE_EXPERIMENTS else REGRESSION)
+    base_rt = {key: base_exps[key].get("parts")
+               for key in VOLATILE_EXPERIMENTS if key in base_exps}
+    cand_rt = {key: cand_exps[key].get("parts")
+               for key in VOLATILE_EXPERIMENTS if key in cand_exps}
+    for path, base, cand in _paired_leaves(base_rt, cand_rt, ""):
+        report.compared += 1
+        if _is_number(base) and _is_number(cand):
+            _budget(report, path, base, cand, 2.0, 1.0, WARN)
+        elif not _same(base, cand):
+            report.deltas.append(_regression(path, base, cand))
 
 
 # -- comparison -------------------------------------------------------------
 
 
 def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
-            tolerances: Tuple[ToleranceRule, ...] = DEFAULT_TOLERANCES,
-            ) -> ComparisonReport:
-    """Diff two artifacts metric by metric.
+            budgets: bool = True) -> ComparisonReport:
+    """Judge ``candidate``'s results against ``baseline``'s, exactly.
 
-    A metric present in the baseline but missing from the candidate
-    is a regression (coverage shrank); a metric only the candidate
-    has is a warning (new coverage — bless a new baseline to adopt
-    it).  NaN in either artifact never matches anything and is
-    reported as a warning.
+    Every leaf of the stripped experiments must be equal; a value,
+    part or experiment present on one side only is a regression.
+    ``budgets`` adds the real-time budgets (``--compare``); without
+    them (``--identity``) wall clocks and the ``perf`` experiment are
+    not judged at all.
     """
-    report = ComparisonReport()
-    base_metrics = dict(_iter_metrics(baseline))
-    cand_metrics = dict(_iter_metrics(candidate))
-    for path in sorted(set(base_metrics) | set(cand_metrics)):
-        base = base_metrics.get(path)
-        cand = cand_metrics.get(path)
-        if base is None:
-            report.deltas.append(Delta(
-                path, None, cand, WARN,
-                note="new metric (not in baseline)"))
-            continue
-        if cand is None:
-            report.deltas.append(Delta(
-                path, base, None, REGRESSION,
-                note="metric disappeared"))
-            continue
-        if math.isnan(base) or math.isnan(cand):
-            status = OK if (math.isnan(base) and math.isnan(cand)) \
-                else WARN
-            report.deltas.append(Delta(
-                path, base, cand, status,
-                note="" if status == OK else "NaN on one side"))
-            continue
-        rule = _rule_for(path, tolerances)
-        allowed = rule.rel_tol * abs(base) + rule.abs_tol
-        drift = (cand - base) if rule.one_sided else abs(cand - base)
-        if drift <= allowed:
-            report.deltas.append(Delta(path, base, cand, OK))
-        else:
-            report.deltas.append(Delta(
-                path, base, cand, rule.severity,
-                note=f"drift {drift:.4g} > allowed {allowed:.4g}"))
+    report = ComparisonReport(
+        baseline_src=baseline.get("provenance", {}).get("src_sha256"),
+        candidate_src=candidate.get("provenance", {}).get("src_sha256"))
+    for path, base, cand in _paired_leaves(
+            strip_volatile(baseline)["experiments"],
+            strip_volatile(candidate)["experiments"], ""):
+        report.compared += 1
+        if not _same(base, cand):
+            report.deltas.append(_regression(path, base, cand))
+    if budgets:
+        _judge_real_time(baseline, candidate, report)
     return report
 
 
@@ -294,9 +295,8 @@ def render_attribution_shifts(report: ComparisonReport,
     12%" into "p99 regressed 12%, +9% of it NIC-wire wait on node-2".
     Empty string when there is nothing to attribute.
     """
-    flagged = [d for d in report.deltas if d.status != OK
-               and any(tag in d.path
-                       for tag in ("latency", "goodput"))]
+    flagged = [d for d in report.deltas
+               if any(tag in d.path for tag in ("latency", "goodput"))]
     if not flagged:
         return ""
     movers = [s for s in attribution_shifts(baseline, candidate)
@@ -313,38 +313,39 @@ def render_attribution_shifts(report: ComparisonReport,
     return "\n".join(lines)
 
 
-def render_comparison(report: ComparisonReport,
-                      show_ok: bool = False) -> str:
-    """The human table ``--compare`` prints."""
+def _show(value: Any) -> str:
+    """A cell: repr for a scalar (a 1-ulp change shows), a size for a
+    missing subtree."""
+    if isinstance(value, (dict, list)):
+        return f"<{len(value)} entries>"
+    return "-" if value is None else repr(value)
+
+
+def render_comparison(report: ComparisonReport) -> str:
+    """The human report ``--compare`` and ``--identity`` print."""
     from ..bench.reporting import format_table
 
-    shown = [d for d in report.deltas
-             if show_ok or d.status != OK]
-    lines = []
-    if shown:
+    lines = [f"baseline  src_sha256: {report.baseline_src}",
+             f"candidate src_sha256: {report.candidate_src}", ""]
+    if report.deltas:
         rows = []
-        for delta in shown:
+        for delta in report.deltas:
             rel = delta.rel_change
-            rel_str = "-" if math.isnan(rel) else (
-                "inf" if math.isinf(rel) else f"{rel:+.2%}")
             rows.append([
-                delta.status,
-                delta.path,
-                "-" if delta.baseline is None
-                else f"{delta.baseline:.6g}",
-                "-" if delta.candidate is None
-                else f"{delta.candidate:.6g}",
-                rel_str,
+                delta.status, delta.path, _show(delta.baseline),
+                _show(delta.candidate),
+                "-" if math.isnan(rel) else (
+                    "inf" if math.isinf(rel) else f"{rel:+.2%}"),
                 delta.note,
             ])
         lines.append(format_table(
-            ["status", "metric", "baseline", "candidate", "change",
+            ["status", "path", "baseline", "candidate", "change",
              "note"], rows))
         lines.append("")
-    ok_count = sum(1 for d in report.deltas if d.status == OK)
+    if report.headroom:
+        lines.append(report.headroom)
     lines.append(
-        f"{len(report.deltas)} metrics compared: {ok_count} ok, "
-        f"{len(report.warnings)} warnings, "
-        f"{len(report.regressions)} regressions"
-    )
+        f"{report.compared} values compared: "
+        f"{len(report.regressions)} regressions, "
+        f"{len(report.warnings)} warnings")
     return "\n".join(lines)

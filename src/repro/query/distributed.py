@@ -57,8 +57,6 @@ __all__ = ["DistributedScanDeployment", "merge_partials",
            "plan_distributed", "explain_distributed",
            "run_distributed_scan"]
 
-_query_ids = itertools.count(1)
-
 
 # -- per-shard planning ------------------------------------------------------
 
@@ -290,6 +288,10 @@ class DistributedScanDeployment:
             self.cluster, "coordinator", home="node0",
             stale_fraction=stale_fraction)
         self._loaded = False
+        # Sproc names are on the wire, so their numbering restarts per
+        # deployment: a scan's simulated bytes never depend on how many
+        # scans ran earlier in the process.
+        self._query_ids = itertools.count(1)
 
     def shard_sizes(self) -> Dict[int, int]:
         """Bytes of table data living in each populated shard."""
@@ -340,7 +342,7 @@ class DistributedScanDeployment:
         — and forwarding guarantees that is always the owner.
         Returns shard -> sproc name.
         """
-        qid = next(_query_ids)
+        qid = next(self._query_ids)
         schema = self.schema
         predicate_index = schema.index_of(query.predicate_column)
         names: Dict[int, str] = {}

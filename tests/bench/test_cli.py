@@ -1,8 +1,12 @@
 """Tests for the ``python -m repro.bench`` experiment runner."""
 
 import json
+import math
+from types import SimpleNamespace
 
+import pytest
 
+import repro.bench.__main__ as bench_main
 from repro.bench.__main__ import EXPERIMENTS, main
 from repro.obs.artifact import load_artifact, validate_artifact
 
@@ -119,6 +123,90 @@ class TestCompare:
         assert "0 regressions" in capsys.readouterr().out
 
 
+class TestExactGate:
+    """--compare and --identity judge every simulated value exactly."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("gate") / "base.json"
+        assert main(["a4", "a6", "--json-out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _variant(baseline, tmp_path, mutate):
+        document = json.loads(baseline.read_text())
+        mutate(document)
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(document))
+        return path
+
+    @staticmethod
+    def _judge(flag, baseline, candidate, capsys):
+        capsys.readouterr()
+        code = main([flag, str(baseline), str(candidate)])
+        return code, capsys.readouterr().out
+
+    def test_one_ulp_drift_fails_and_names_its_path(
+            self, baseline, tmp_path, capsys):
+        def nudge(document):
+            values = document["experiments"]["a4"]["parts"][
+                "persistence"]["values"]
+            values["speedup"] = math.nextafter(values["speedup"],
+                                               math.inf)
+        candidate = self._variant(baseline, tmp_path, nudge)
+        for flag in ("--compare", "--identity"):
+            code, out = self._judge(flag, baseline, candidate, capsys)
+            assert code == 1
+            assert "a4.persistence.speedup" in out
+
+    def test_changed_string_fails(self, baseline, tmp_path, capsys):
+        def relabel(document):
+            document["experiments"]["a6"]["parts"]["fusion"][
+                "x_label"] += "_renamed"
+        candidate = self._variant(baseline, tmp_path, relabel)
+        for flag in ("--compare", "--identity"):
+            code, out = self._judge(flag, baseline, candidate, capsys)
+            assert code == 1
+            assert "a6.fusion.x_label" in out
+
+    def test_dropped_experiment_fails(self, baseline, tmp_path,
+                                      capsys):
+        def drop(document):
+            del document["experiments"]["a6"]
+        candidate = self._variant(baseline, tmp_path, drop)
+        for flag in ("--compare", "--identity"):
+            code, out = self._judge(flag, baseline, candidate, capsys)
+            assert code == 1
+            assert "disappeared" in out
+
+    def test_provenance_only_differences_pass(self, baseline,
+                                              tmp_path, capsys):
+        def restamp(document):
+            document["provenance"].update(
+                git_dirty=not document["provenance"]["git_dirty"],
+                git_sha="0" * 40, python="0.0.0",
+                argv=["--jobs", "4"])
+        candidate = self._variant(baseline, tmp_path, restamp)
+        for flag in ("--compare", "--identity"):
+            code, out = self._judge(flag, baseline, candidate, capsys)
+            assert code == 0, out
+            assert "0 regressions" in out
+
+    def test_subset_run_judges_only_its_experiments(
+            self, baseline, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["a6", "--compare", str(baseline)]) == 0
+        assert "0 regressions" in capsys.readouterr().out
+
+        def nudge(document):
+            row = document["experiments"]["a6"]["parts"]["fusion"][
+                "rows"][0]["values"]
+            name = next(iter(row))
+            row[name] = math.nextafter(row[name], math.inf)
+        mutated = self._variant(baseline, tmp_path, nudge)
+        assert main(["a6", "--compare", str(mutated)]) == 1
+
+
 class TestProfile:
     def test_hotspot_table_printed(self, capsys):
         assert main(["a4", "--profile"]) == 0
@@ -172,6 +260,26 @@ class TestAttrOut:
         assert main(["fig8", "--jobs", "2",
                      "--attr-out", str(path)]) == 2
         assert "incompatible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_conservation_error_s", 1e-6, "fig8: attribution "
+                                           "conservation broken"),
+        ("requests", 0, "attribution report is empty"),
+    ])
+    def test_broken_report_exit_one(self, tmp_path, capsys,
+                                    monkeypatch, field, value,
+                                    message):
+        real = bench_main.build_report
+
+        def broken(pairs):
+            entry = real(pairs).to_dict()
+            entry[field] = value
+            return SimpleNamespace(to_dict=lambda: entry)
+
+        monkeypatch.setattr(bench_main, "build_report", broken)
+        path = tmp_path / "attr.json"
+        assert main(["fig8", "--attr-out", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestProfilePersisted:

@@ -1,16 +1,11 @@
-"""The metric-by-metric regression comparator."""
+"""The exact regression comparator behind --compare and --identity."""
 
 import copy
 import math
 
 from repro.bench.harness import Sweep
 from repro.obs.artifact import make_artifact
-from repro.obs.regress import (
-    DEFAULT_TOLERANCES,
-    ToleranceRule,
-    compare,
-    render_comparison,
-)
+from repro.obs.regress import compare, render_comparison
 
 
 def _artifact(cores=(0.5, 1.0), speedup=2.0, wall=1.0):
@@ -36,10 +31,11 @@ class TestCompare:
         artifact = _artifact()
         report = compare(artifact, copy.deepcopy(artifact))
         assert report.ok
-        assert not report.regressions
-        assert not report.warnings
-        # sweep rows + table + nested + wall clock all covered
-        assert len(report.deltas) == 2 + 1 + 1 + 1
+        assert not report.deltas
+        # every leaf: the title; the sweep's type, x_label and two
+        # rows of (x, cores); the table's and nested part's type and
+        # one metric each
+        assert report.compared == 1 + (2 + 2 * 2) + 2 + 2
 
     def test_drift_beyond_tolerance_is_regression(self):
         report = compare(_artifact(speedup=2.0),
@@ -48,10 +44,46 @@ class TestCompare:
         paths = [delta.path for delta in report.regressions]
         assert paths == ["figX.table_part.speedup"]
 
-    def test_drift_within_tolerance_is_ok(self):
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=2.04))
-        assert report.ok
+    def test_one_ulp_drift_is_regression(self):
+        for budgets in (True, False):
+            report = compare(
+                _artifact(speedup=2.0),
+                _artifact(speedup=math.nextafter(2.0, 3.0)),
+                budgets=budgets)
+            assert not report.ok
+            assert [delta.path for delta in report.regressions] \
+                == ["figX.table_part.speedup"]
+
+    def test_changed_string_is_regression(self):
+        candidate = _artifact()
+        candidate["experiments"]["figX"]["parts"]["sweep_part"][
+            "x_label"] = "load"
+        report = compare(_artifact(), candidate)
+        assert [delta.path for delta in report.regressions] \
+            == ["figX.sweep_part.x_label"]
+
+    def test_dropped_experiment_is_regression(self):
+        baseline = _artifact()
+        baseline["experiments"]["figY"] = copy.deepcopy(
+            baseline["experiments"]["figX"])
+        for budgets in (True, False):
+            report = compare(baseline, _artifact(), budgets=budgets)
+            assert [delta.path for delta in report.regressions] \
+                == ["figY"]
+
+    def test_provenance_is_not_a_result(self):
+        candidate = _artifact()
+        candidate["provenance"].update(
+            git_sha="0" * 40, git_dirty=True, python="4",
+            argv=["--jobs", "4"], src_sha256="f" * 64)
+        for budgets in (True, False):
+            report = compare(_artifact(), candidate, budgets=budgets)
+            assert report.ok and not report.deltas
+
+    def test_identity_ignores_wall_clock(self):
+        report = compare(_artifact(wall=1.0), _artifact(wall=60.0),
+                         budgets=False)
+        assert report.ok and not report.deltas
 
     def test_wall_clock_within_2x_is_ok(self):
         # The hard bound is 2x baseline + 1s slack: 1.9s vs 1.0s is
@@ -94,14 +126,13 @@ class TestCompare:
         assert any("disappeared" in delta.note
                    for delta in report.regressions)
 
-    def test_new_metric_only_warns(self):
+    def test_new_metric_is_regression(self):
         candidate = _artifact()
         candidate["experiments"]["figX"]["parts"]["table_part"][
             "values"]["bonus"] = 1.0
         report = compare(_artifact(), candidate)
-        assert report.ok
-        assert any("new metric" in delta.note
-                   for delta in report.warnings)
+        assert [delta.path for delta in report.regressions] \
+            == ["figX.table_part.bonus"]
 
     def test_sweep_rows_compared_by_x(self):
         report = compare(_artifact(cores=(0.5, 1.0)),
@@ -109,13 +140,13 @@ class TestCompare:
         assert [delta.path for delta in report.regressions] \
             == ["figX.sweep_part[x=2].cores"]
 
-    def test_nan_on_one_side_warns(self):
+    def test_nan_on_one_side_is_regression(self):
         candidate = _artifact()
         candidate["experiments"]["figX"]["parts"]["table_part"][
             "values"]["speedup"] = math.nan
         report = compare(_artifact(), candidate)
-        assert report.ok
-        assert any("NaN" in delta.note for delta in report.warnings)
+        assert [delta.path for delta in report.regressions] \
+            == ["figX.table_part.speedup"]
 
     def test_nan_on_both_sides_is_ok(self):
         baseline = _artifact()
@@ -124,14 +155,6 @@ class TestCompare:
         report = compare(baseline, copy.deepcopy(baseline))
         assert report.ok
         assert not report.warnings
-
-    def test_custom_rule_first_match_wins(self):
-        rules = (
-            ToleranceRule("figX.table_part.*", rel_tol=10.0),
-        ) + DEFAULT_TOLERANCES
-        report = compare(_artifact(speedup=2.0),
-                         _artifact(speedup=20.0), tolerances=rules)
-        assert report.ok
 
 
 class TestRender:
@@ -147,6 +170,18 @@ class TestRender:
         assert "regression" in text
         assert "figX.table_part.speedup" in text
         assert "+50.00%" in text
+
+    def test_one_ulp_drift_is_visible(self):
+        drifted = math.nextafter(2.0, 3.0)
+        text = render_comparison(compare(_artifact(speedup=2.0),
+                                         _artifact(speedup=drifted)))
+        assert repr(drifted) in text
+
+    def test_header_names_both_sources(self):
+        candidate = _artifact()
+        candidate["provenance"]["src_sha256"] = "c" * 64
+        text = render_comparison(compare(_artifact(), candidate))
+        assert "c" * 64 in text
 
 
 def _attr_artifact(p99=1e-3, nic_wire=0.1, ssd=0.3):

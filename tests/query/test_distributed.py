@@ -1,6 +1,14 @@
 """Distributed scan tests: planner crossover, identity, forwarding."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.cluster import encode_shard_scan, response_ok
 from repro.query import (
@@ -264,3 +272,33 @@ class TestStaleRouting:
 
         env.run(until=env.process(probe()))
         assert seen["ok"] is False
+
+
+def _scan_outcome() -> dict:
+    """One pushdown scan's simulated figures on a fresh deployment."""
+    deployment = DistributedScanDeployment(
+        n_nodes=2, n_rows=500, n_shards=4, port=9870)
+    outcome = run_distributed_scan(deployment, _aggregate_query(),
+                                   plan="pushdown")
+    return {key: outcome[key] for key in
+            ("elapsed_s", "bytes_received", "host_busy_s",
+             "dpu_busy_s")}
+
+
+class TestProcessHistory:
+    def test_fresh_deployment_ignores_earlier_scans(self):
+        # Sproc names carry a query number and travel on the wire; a
+        # number shared by the whole process made the tenth scan's
+        # bytes (and so its timings) differ from the first's.
+        for _ in range(9):
+            _scan_outcome()
+        here = Path(__file__).resolve().parent
+        src = Path(repro.__file__).resolve().parents[1]
+        code = (f"import json, sys; sys.path.insert(0, {str(here)!r}); "
+                "from test_distributed import _scan_outcome; "
+                "print(json.dumps(_scan_outcome()))")
+        fresh = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True,
+            text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert _scan_outcome() == json.loads(fresh.stdout)
